@@ -16,6 +16,9 @@ using Addr = std::uint64_t;
 /// The paper's latencies (Table II) are all expressed in this clock.
 using Tick = std::uint64_t;
 
+/// Sentinel tick for "never": no pending event, no scheduled deadline.
+inline constexpr Tick kNeverTick = ~Tick{0};
+
 /// Identifies one of the processor cores (0..num_cores-1).
 using CoreId = std::uint32_t;
 

@@ -56,6 +56,11 @@ class BitpPrefetcher final : public MonitorIface {
     return due;
   }
 
+  /// Front of the FIFO pending queue (constant delay keeps it sorted).
+  Tick next_prefetch_due() const override {
+    return pending_.empty() ? kNeverTick : pending_.front().ready;
+  }
+
   std::uint64_t captures() const override { return back_invalidations_; }
   std::uint64_t prefetches_issued() const override {
     return prefetches_issued_;

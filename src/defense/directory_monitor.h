@@ -71,6 +71,11 @@ class DirectoryMonitor final : public MonitorIface {
   std::vector<MonitorPrefetchRequest> take_due_prefetches(
       Tick now) override;
 
+  /// Front of the FIFO pending queue (constant delay keeps it sorted).
+  Tick next_prefetch_due() const override {
+    return pending_.empty() ? kNeverTick : pending_.front().ready;
+  }
+
   /// Counter of `line`'s entry, if tracked (test/analysis hook).
   std::optional<std::uint32_t> counter_of(LineAddr line) const;
 

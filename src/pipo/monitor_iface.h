@@ -81,6 +81,12 @@ class MonitorIface {
   virtual std::vector<MonitorPrefetchRequest> take_due_prefetches(
       Tick now) = 0;
 
+  /// Issue time of the earliest scheduled prefetch — the smallest `now`
+  /// at which take_due_prefetches() returns anything — or kNeverTick
+  /// when none is scheduled. Lets the simulation driver sleep until a
+  /// prefetch actually falls due instead of polling.
+  virtual Tick next_prefetch_due() const = 0;
+
   // --- statistics common to all monitors ---
   virtual std::uint64_t captures() const = 0;
   virtual std::uint64_t prefetches_issued() const = 0;
@@ -95,6 +101,7 @@ class NullMonitor final : public MonitorIface {
   std::vector<MonitorPrefetchRequest> take_due_prefetches(Tick) override {
     return {};
   }
+  Tick next_prefetch_due() const override { return kNeverTick; }
   std::uint64_t captures() const override { return 0; }
   std::uint64_t prefetches_issued() const override { return 0; }
 };

@@ -11,13 +11,20 @@
 // member and every scheduled callback captures only `this` — well inside
 // the event queue's inline-callback buffer, making steady-state
 // simulation allocation-free.
+//
+// The core also keeps its pending event's tick and same-tick order bit
+// relative to the uncore grid, and brackets every event with the
+// UncoreWakeup hooks that execute grid ticks in their place (see
+// sim/uncore_wakeup.h).
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "sim/event_queue.h"
 #include "sim/system.h"
+#include "sim/uncore_wakeup.h"
 #include "sim/workload_if.h"
 
 namespace pipo {
@@ -26,18 +33,29 @@ class CoreModel {
  public:
   /// `running_cores`, when non-null, is decremented exactly once when
   /// this core's workload finishes (the Simulation's O(1) liveness
-  /// counter).
+  /// counter). `wakeup`, when non-null, is told about every event.
   CoreModel(CoreId id, System* system, EventQueue* queue, Workload* workload,
-            std::uint32_t* running_cores = nullptr)
+            std::uint32_t* running_cores = nullptr,
+            UncoreWakeup* wakeup = nullptr)
       : id_(id),
         system_(system),
         queue_(queue),
         workload_(workload),
-        running_cores_(running_cores) {}
+        running_cores_(running_cores),
+        wakeup_(wakeup) {}
 
-  /// Schedules the first instruction at `start`.
+  /// Schedules the first instruction at `start` — the grid's origin, so
+  /// the event orders after the (virtual) grid tick there.
   void start(Tick start_tick) {
+    pending_at_ = start_tick;
+    before_tick_ = false;
     queue_->schedule(start_tick, [this] { step(); });
+  }
+
+  /// Whether this core's pending event is at `t` and ordered before the
+  /// uncore grid tick at `t`.
+  bool pending_before_tick_at(Tick t) const {
+    return !done_ && pending_at_ == t && before_tick_;
   }
 
   bool done() const { return done_; }
@@ -50,12 +68,28 @@ class CoreModel {
   std::uint64_t mem_accesses() const { return mem_accesses_; }
 
  private:
+  /// Schedules this core's next event. The periodic grid tick at `when`
+  /// would have been scheduled kUncoreTick earlier, so the event orders
+  /// before it iff scheduled earlier than that — or at that very tick by
+  /// an event that was itself ahead of its grid tick.
+  template <typename F>
+  void schedule_next(Tick when, F&& fn) {
+    const Tick ahead = when - queue_->now();
+    before_tick_ =
+        ahead > kUncoreTick || (ahead == kUncoreTick && before_tick_);
+    pending_at_ = when;
+    queue_->schedule(when, std::forward<F>(fn));
+  }
+
   void step() {
+    const bool before = before_tick_;
+    if (wakeup_ && !wakeup_->enter(before)) return;
     const auto req = workload_->next(queue_->now());
     if (!req) {
       done_ = true;
       finish_tick_ = queue_->now();
       if (running_cores_) --*running_cores_;
+      if (wakeup_) wakeup_->leave(before, /*changed=*/true);
       return;
     }
     pending_ = *req;
@@ -63,17 +97,21 @@ class CoreModel {
     // owning shard worker has the pre_delay window to precompute its
     // routing hints before issue(). No-op on the serial engine.
     system_->publish_pending(id_, pending_.addr);
-    queue_->schedule(queue_->now() + req->pre_delay, [this] { issue(); });
+    schedule_next(queue_->now() + req->pre_delay, [this] { issue(); });
+    if (wakeup_) wakeup_->leave(before, /*changed=*/false);
   }
 
   void issue() {
+    const bool before = before_tick_;
+    if (wakeup_ && !wakeup_->enter(before)) return;
     const Tick issued = queue_->now();
     const System::AccessOutcome out = system_->access(
         issued, id_, pending_.addr, pending_.type, pending_.bypass_private);
     instructions_ += 1 + pending_.pre_delay;
     ++mem_accesses_;
     workload_->on_complete(pending_, issued, out.complete);
-    queue_->schedule(out.complete, [this] { step(); });
+    schedule_next(out.complete, [this] { step(); });
+    if (wakeup_) wakeup_->leave(before, /*changed=*/true);
   }
 
   CoreId id_;
@@ -81,7 +119,10 @@ class CoreModel {
   EventQueue* queue_;
   Workload* workload_;
   std::uint32_t* running_cores_;
+  UncoreWakeup* wakeup_;
   MemRequest pending_;  ///< request between its step() and issue() events
+  Tick pending_at_ = 0;        ///< tick of the one pending event
+  bool before_tick_ = false;   ///< it orders before the grid tick there
   bool done_ = false;
   Tick finish_tick_ = 0;
   std::uint64_t instructions_ = 0;

@@ -2,20 +2,9 @@
 
 namespace pipo {
 
-void Simulation::schedule_uncore_tick() {
-  queue_.schedule_in(uncore_period_, [this] {
-    system_.drain_prefetches(queue_.now());
-    // Keep ticking while any core still runs and prefetches may be
-    // pending; stop once all cores are done so the queue can drain.
-    if (running_cores_ > 0 && queue_.now() < run_limit_) {
-      schedule_uncore_tick();
-    }
-  });
-}
-
 Tick Simulation::run(Tick max_ticks) {
   // A previous tick-capped run may have left core step/issue events (and
-  // the uncore tick) queued; their CoreModels die with cores_.clear()
+  // uncore wake-ups) queued; their CoreModels die with cores_.clear()
   // below, so dispatching them would be a use-after-free.
   queue_.clear();
   cores_.clear();
@@ -26,13 +15,20 @@ Tick Simulation::run(Tick max_ticks) {
                              " has no workload");
     }
     cores_.push_back(std::make_unique<CoreModel>(
-        c, &system_, &queue_, workloads_[c].get(), &running_cores_));
+        c, &system_, &queue_, workloads_[c].get(), &running_cores_,
+        &wakeup_));
     cores_.back()->start(queue_.now());
   }
-  run_limit_ = max_ticks;
-  schedule_uncore_tick();
+  wakeup_.start(&system_, &queue_, &running_cores_, &cores_, max_ticks);
 
-  queue_.run_active(max_ticks);
+  events_dispatched_ = 0;
+  if (queue_.now() < max_ticks) {
+    events_dispatched_ += queue_.run_active(max_ticks);
+    // run_active stops after the first event at or past the cap; when
+    // that was a wake-up with nothing to do, the crossing event is still
+    // ahead.
+    while (!wakeup_.crossed() && queue_.run_one()) ++events_dispatched_;
+  }
 
   // Sharded engine: close the tail (possibly partial) epoch so the final
   // Stats are fully folded and the shard workers are quiescent before

@@ -11,7 +11,10 @@
 //
 // Tick semantics: one tick is one core cycle. The queue's clock is
 // monotone and shared by every component; it survives across runs (a
-// second run() continues from the tick where the first stopped).
+// second run() continues from the tick where the first stopped). The
+// uncore runs on a kUncoreTick-cycle grid anchored at each run's start;
+// the UncoreWakeup (sim/uncore_wakeup.h) executes only the grid ticks
+// that can be observed, so idle stretches cost no events.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +27,7 @@
 #include "sim/event_queue.h"
 #include "sim/system.h"
 #include "sim/system_config.h"
+#include "sim/uncore_wakeup.h"
 #include "sim/workload_if.h"
 
 namespace pipo {
@@ -58,18 +62,20 @@ class Simulation {
 
   /// Runs until every core's workload finishes or `max_ticks` elapses.
   /// Returns the tick at which the last core finished (= overall
-  /// execution time, the metric of Fig 8(a)).
+  /// execution time, the metric of Fig 8(a)). The clock itself ends on
+  /// the first uncore grid tick after that (the last drain).
   ///
   /// Restartable: any events left over from a previous tick-capped run
   /// are cleared (across both queue tiers) before the cores are rebuilt,
   /// so stale callbacks can never fire into dead CoreModels. The drive
   /// loop is EventQueue::run_active(max_ticks): the event that crosses
-  /// the cap still executes (a started access completes), and run_until
-  /// style clamping never applies here — see event_queue.h for the
-  /// clamp's precondition (time advances to a horizon only when it was
-  /// actually simulated: the queue drained or the next event lies
-  /// beyond it).
-  Tick run(Tick max_ticks = ~Tick{0});
+  /// the cap still executes (a started access completes) — a core event
+  /// or the first grid tick at or past the cap, whichever comes first —
+  /// and run_until style clamping never applies here — see
+  /// event_queue.h for the clamp's precondition (time advances to a
+  /// horizon only when it was actually simulated: the queue drained or
+  /// the next event lies beyond it).
+  Tick run(Tick max_ticks = kNeverTick);
 
   System& system() { return system_; }
   const System& system() const { return system_; }
@@ -85,24 +91,22 @@ class Simulation {
     return n;
   }
 
-  /// Cycles between prefetch-drain wakeups while cores may be idle;
-  /// bounds how late a monitor prefetch can land (default 64).
-  void set_uncore_tick(Tick period) { uncore_period_ = period; }
+  /// Events the last run() dispatched: core steps and issues plus the
+  /// uncore wake-ups (cost accounting for tests and benches).
+  std::uint64_t events_dispatched() const { return events_dispatched_; }
 
  private:
-  void schedule_uncore_tick();
-
   SystemConfig cfg_;
   System system_;
   EventQueue queue_;
   std::vector<std::unique_ptr<Workload>> workloads_;
   std::vector<std::unique_ptr<CoreModel>> cores_;
-  Tick uncore_period_ = 64;
-  Tick run_limit_ = 0;
+  UncoreWakeup wakeup_;
   /// Cores whose workload has not finished; maintained by the CoreModels
-  /// so the periodic uncore tick decides liveness in O(1) instead of
-  /// rescanning every core.
+  /// so the uncore wake-up decides liveness in O(1) instead of rescanning
+  /// every core.
   std::uint32_t running_cores_ = 0;
+  std::uint64_t events_dispatched_ = 0;
 };
 
 }  // namespace pipo

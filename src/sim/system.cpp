@@ -819,13 +819,14 @@ std::string System::check_invariants() const {
 }
 
 void System::drain_prefetches(Tick now) {
+  if (now < next_drain_due()) return;
   // Epoch barrier check. drain_prefetches is the first thing access()
-  // does and the only thing the driver's uncore tick does, so this one
+  // does and the only thing the driver's uncore wake-up does, so this one
   // check point closes epochs for every kind of system activity: an
   // epoch ends at the first operation at or past its boundary tick.
   if (shards_ && now >= epoch_end_) epoch_barrier(now);
   // The drain runs lazily (at every access and at the driver's uncore
-  // tick), so requests are backdated to their true issue times: a pEvict
+  // wake-up), so requests are backdated to their true issue times: a pEvict
   // whose delay elapsed at tick R enters the MC channel at R, not at the
   // drain time. This keeps the prefetch pipeline event-accurate — a
   // prefetch issued between two victim accesses lands before the second

@@ -12,7 +12,8 @@
 // completes. PiPoMonitor prefetches are the one genuinely asynchronous
 // action, so they are modeled as scheduled events: pEvict -> delay ->
 // fetch -> DRAM latency -> LLC fill, drained at every subsequent access
-// and by the driver's periodic uncore tick.
+// and by the driver's uncore wake-up (sim/uncore_wakeup.h) at the first
+// 64-cycle uncore tick at or after the work falls due.
 //
 // Coherence model. Private L1/L2 lines carry MESI states. Under the
 // default InclusionPolicy::kInclusive the L3 acts as the directory via
@@ -45,6 +46,7 @@
 // restorative prefetches always land in the LLC.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -93,9 +95,24 @@ class System {
 
   /// Applies every due PiPoMonitor prefetch (pEvict + delay elapsed and
   /// DRAM data arrived). Called internally by access(); the simulation
-  /// driver also calls it periodically so prefetches land on time even
-  /// while all cores are idle.
+  /// driver also calls it on the uncore ticks at which next_drain_due()
+  /// has fallen due, so prefetches land on time even while all cores are
+  /// idle. A no-op (returning at once) while `now < next_drain_due()`.
   void drain_prefetches(Tick now);
+
+  /// Smallest `now` at which drain_prefetches() has work, or kNeverTick:
+  /// the minimum of the active monitor's earliest scheduled prefetch,
+  /// the front of the in-flight fill queue and, on the sharded engine,
+  /// the current epoch's boundary. Lowered only by access() (new pEvicts
+  /// and fetches); raised only by a drain.
+  Tick next_drain_due() const {
+    Tick due = active_monitor_->next_prefetch_due();
+    if (!inflight_prefetch_.empty()) {
+      due = std::min(due, inflight_prefetch_.front().fill_at);
+    }
+    if (shards_) due = std::min(due, epoch_end_);
+    return due;
+  }
 
   struct Stats;  // defined below
 

@@ -102,6 +102,21 @@ TEST(DirectoryMonitor, PrefetchAfterDelay) {
   EXPECT_EQ(mon.prefetches_issued(), 1u);
 }
 
+TEST(DirectoryMonitor, NextPrefetchDueTracksQueueFront) {
+  DirectoryMonitor mon(small_table());
+  EXPECT_EQ(mon.next_prefetch_due(), kNeverTick);
+  for (int i = 0; i < 4; ++i) mon.on_access(0x500);
+  const Tick delay = mon.config().prefetch_delay;
+  ASSERT_TRUE(mon.on_pevict(100, 0x500, true, true));
+  ASSERT_TRUE(mon.on_pevict(150, 0x500, true, true));
+  EXPECT_EQ(mon.next_prefetch_due(), 100 + delay);
+  EXPECT_TRUE(mon.take_due_prefetches(99 + delay).empty());
+  EXPECT_EQ(mon.take_due_prefetches(100 + delay).size(), 1u);
+  EXPECT_EQ(mon.next_prefetch_due(), 150 + delay);
+  EXPECT_EQ(mon.take_due_prefetches(150 + delay).size(), 1u);
+  EXPECT_EQ(mon.next_prefetch_due(), kNeverTick);
+}
+
 TEST(DirectoryMonitor, StorageCostExceedsFilter) {
   // Section VII-D framing: for the same number of tracked lines, full
   // tags cost ~2.5x the Auto-Cuckoo entry (34+2+1 vs 12+2+1 bits).

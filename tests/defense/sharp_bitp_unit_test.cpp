@@ -91,5 +91,24 @@ TEST(BitpPrefetcher, FifoOrderAcrossInvalidations) {
   EXPECT_EQ(bitp.take_due_prefetches(100).size(), 1u);
 }
 
+TEST(BitpPrefetcher, NextPrefetchDueTracksQueueFront) {
+  BitpPrefetcher bitp(BitpConfig{});
+  EXPECT_EQ(bitp.next_prefetch_due(), kNeverTick);
+  bitp.on_back_invalidation(10, 0x1);
+  bitp.on_back_invalidation(20, 0x2);
+  EXPECT_EQ(bitp.next_prefetch_due(), 42u);
+  EXPECT_TRUE(bitp.take_due_prefetches(41).empty());
+  EXPECT_EQ(bitp.take_due_prefetches(42).size(), 1u);
+  EXPECT_EQ(bitp.next_prefetch_due(), 52u);
+  EXPECT_EQ(bitp.take_due_prefetches(52).size(), 1u);
+  EXPECT_EQ(bitp.next_prefetch_due(), kNeverTick);
+}
+
+TEST(NullMonitor, NeverHasPrefetchDue) {
+  NullMonitor null;
+  EXPECT_FALSE(null.on_pevict(10, 0x1, true, true));
+  EXPECT_EQ(null.next_prefetch_due(), kNeverTick);
+}
+
 }  // namespace
 }  // namespace pipo

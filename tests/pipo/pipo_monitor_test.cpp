@@ -63,7 +63,22 @@ TEST(PiPoMonitor, MultiplePendingPrefetchesInFifoOrder) {
   EXPECT_EQ(due[0].line, 0x1u);
   EXPECT_EQ(due[1].line, 0x2u);
   EXPECT_TRUE(mon.has_pending_prefetch());
-  EXPECT_EQ(mon.next_prefetch_tick(), 62u);
+  EXPECT_EQ(mon.next_prefetch_due(), 62u);
+}
+
+TEST(PiPoMonitor, NextPrefetchDueTracksQueueFront) {
+  PiPoMonitor mon(small_monitor());
+  EXPECT_EQ(mon.next_prefetch_due(), kNeverTick);  // nothing scheduled
+  mon.on_pevict(100, 0x1, true, true);
+  mon.on_pevict(110, 0x2, true, true);
+  EXPECT_EQ(mon.next_prefetch_due(), 132u);
+  // Nothing is handed out before the due tick, and the due tick itself
+  // pops the front.
+  EXPECT_TRUE(mon.take_due_prefetches(131).empty());
+  EXPECT_EQ(mon.take_due_prefetches(mon.next_prefetch_due()).size(), 1u);
+  EXPECT_EQ(mon.next_prefetch_due(), 142u);
+  EXPECT_EQ(mon.take_due_prefetches(10'000).size(), 1u);
+  EXPECT_EQ(mon.next_prefetch_due(), kNeverTick);
 }
 
 TEST(PiPoMonitor, PrefetchFetchNotRecordedByDefault) {

@@ -1,6 +1,8 @@
 // Integration of PiPoMonitor with the cache hierarchy: Ping-Pong capture,
 // LLC tagging, pEvict, delayed prefetch, and the anti-over-protection
 // rule (Section IV end-to-end).
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/system.h"
@@ -72,6 +74,37 @@ TEST(PipoIntegration, PrefetchRestoresLineSoVictimHitsL3) {
   const auto out = sys.access(t + 10'000, 1, kTarget, AccessType::kLoad);
   EXPECT_EQ(out.level, HitLevel::kL3)
       << "prefetch should have restored the Ping-Pong line into the LLC";
+}
+
+TEST(PipoIntegration, NextDrainDueIsTheFirstTickWithDrainWork) {
+  System sys(mini());
+  EXPECT_EQ(sys.next_drain_due(), kNeverTick);
+  Tick t = 0;
+  for (int round = 0; round < 5; ++round) {
+    sys.access(t, 1, kTarget, AccessType::kLoad);
+    t += 300;
+    t = evict_target(sys, t, 0, round);
+  }
+  // Walk the prefetch pipeline from due tick to due tick: a drain one
+  // tick early changes nothing, a drain at the due tick makes progress.
+  const auto snapshot = [&sys] {
+    const System::Stats& st = sys.stats();
+    return std::vector<std::uint64_t>{st.prefetch_fills, st.prefetch_drops,
+                                      st.pevicts, sys.mem().prefetch_fetches(),
+                                      sys.next_drain_due()};
+  };
+  int steps = 0;
+  for (; sys.next_drain_due() != kNeverTick && steps < 100; ++steps) {
+    const Tick due = sys.next_drain_due();
+    const auto before = snapshot();
+    if (due > 0) sys.drain_prefetches(due - 1);
+    EXPECT_EQ(snapshot(), before) << "drain before the due tick " << due;
+    sys.drain_prefetches(due);
+    EXPECT_NE(snapshot(), before) << "drain at the due tick " << due;
+  }
+  EXPECT_GT(steps, 0);
+  EXPECT_EQ(sys.next_drain_due(), kNeverTick);
+  EXPECT_GT(sys.stats().prefetch_fills, 0u);
 }
 
 TEST(PipoIntegration, PrefetchedLineStartsUnaccessed) {
