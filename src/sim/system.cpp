@@ -321,8 +321,12 @@ System::AccessOutcome System::access(Tick now, CoreId core, Addr addr,
         fill_state = Mesi::kModified;
       } else {
         downgrade_owners(core, line, l3l);
-        fill_state =
-            (l3l.presence == 0) ? Mesi::kExclusive : Mesi::kShared;
+        // RIC forfeits Exclusive grants here as on the memory-fill path
+        // below: an E copy could outlive this LLC entry as an orphan and
+        // turn Modified without the directory seeing it.
+        fill_state = (l3l.presence == 0 && cfg_.defense != DefenseKind::kRic)
+                         ? Mesi::kExclusive
+                         : Mesi::kShared;
       }
       l3l.presence |= bit(core);
       if (l3l.pp_tag) l3l.pp_accessed = true;  // demanded since tagging

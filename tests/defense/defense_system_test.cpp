@@ -161,6 +161,36 @@ TEST(RicDefense, SilentUpgradeDetectedThroughDirtyMerge) {
       << "once the write surfaces, RIC must enforce inclusion again";
 }
 
+TEST(RicDefense, LlcHitWithoutHoldersGrantsSharedNotExclusive) {
+  // Core 1 loads the target, then drops it from its L2 with four lines
+  // that share its L2 set but not its L3 set: the LLC keeps the line
+  // with no holder left. Core 2's load then hits the L3 with presence 0.
+  System sys(mini_with(DefenseKind::kRic));
+  Tick t = 0;
+  sys.access(t, 1, kTarget, AccessType::kLoad);
+  constexpr Addr kL2Stride = 32 * kLineSizeBytes;  // mini() L2: 32 sets
+  for (Addr k : {1, 3, 5, 7}) {
+    t += 300;
+    sys.access(t, 1, kTarget + k * kL2Stride, AccessType::kLoad);
+  }
+  const LineAddr target = line_of(kTarget);
+  ASSERT_FALSE(sys.l2(1).lookup(target).has_value());
+  ASSERT_TRUE(sys.l3().lookup(target).has_value());
+  t += 300;
+  EXPECT_EQ(sys.access(t, 2, kTarget, AccessType::kLoad).level,
+            HitLevel::kL3);
+  // Relaxed inclusion forfeits silent-upgradable grants, as on the
+  // memory-fill path: an Exclusive copy would outlive the LLC entry
+  // as an orphan and turn Modified without the directory seeing it.
+  const auto slot = sys.l2(2).lookup(target);
+  ASSERT_TRUE(slot.has_value());
+  EXPECT_EQ(sys.l2(2).line(*slot).state, Mesi::kShared);
+  t = fill_congruent(sys, t + 300, 0, 0);  // the clean line is exempted
+  EXPECT_GT(sys.stats().ric_exemptions, 0u);
+  sys.access(t, 2, kTarget, AccessType::kStore);
+  EXPECT_EQ(sys.check_invariants(), "");
+}
+
 // ---------------------------------------------- DirectoryMonitor defense
 
 TEST(DirectoryDefense, CapturesAndPrefetchesLikePipo) {
