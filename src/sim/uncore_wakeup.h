@@ -57,6 +57,11 @@ static_assert((kUncoreTick & (kUncoreTick - 1)) == 0,
 
 class UncoreWakeup {
  public:
+  UncoreWakeup() = default;
+  // Queued wake-ups hold `this`.
+  UncoreWakeup(const UncoreWakeup&) = delete;
+  UncoreWakeup& operator=(const UncoreWakeup&) = delete;
+
   /// Begins a run at queue->now() (the grid's origin), capped at `stop`
   /// (kNeverTick: uncapped). Call after the cores have been started.
   void start(System* system, EventQueue* queue,
@@ -67,9 +72,6 @@ class UncoreWakeup {
   /// past the cap — has run. A wake-up that found nothing to do does not
   /// count: it stands for no event of the grid.
   bool crossed() const { return crossed_; }
-
-  /// Grid tick the wake-up is armed for (kNeverTick: none). Test hook.
-  Tick armed() const { return armed_; }
 
   /// Core-event prologue; `before_tick` is the event's same-tick order
   /// bit. Runs the grid tick due at this tick when it orders ahead of the
