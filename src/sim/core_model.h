@@ -121,8 +121,8 @@ class CoreModel {
   std::uint32_t* running_cores_;
   UncoreWakeup* wakeup_;
   MemRequest pending_;  ///< request between its step() and issue() events
-  Tick pending_at_ = 0;        ///< tick of the one pending event
-  bool before_tick_ = false;   ///< it orders before the grid tick there
+  Tick pending_at_ = 0;       ///< tick of the one pending event
+  bool before_tick_ = false;  ///< it orders before the grid tick there
   bool done_ = false;
   Tick finish_tick_ = 0;
   std::uint64_t instructions_ = 0;

@@ -69,11 +69,11 @@ class Simulation {
   /// are cleared (across both queue tiers) before the cores are rebuilt,
   /// so stale callbacks can never fire into dead CoreModels. The drive
   /// loop is EventQueue::run_active(max_ticks): the event that crosses
-  /// the cap still executes (a started access completes) — a core event
-  /// or the first grid tick at or past the cap, whichever comes first —
-  /// and run_until style clamping never applies here — see
-  /// event_queue.h for the clamp's precondition (time advances to a
-  /// horizon only when it was actually simulated: the queue drained or
+  /// the cap still executes (a started access completes). That event is
+  /// a core event or the first uncore grid tick at or past the cap,
+  /// whichever comes first. run_until style clamping never applies here
+  /// — see event_queue.h for the clamp's precondition (time advances to
+  /// a horizon only when it was actually simulated: the queue drained or
   /// the next event lies beyond it).
   Tick run(Tick max_ticks = kNeverTick);
 
