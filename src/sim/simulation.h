@@ -63,7 +63,8 @@ class Simulation {
   /// Runs until every core's workload finishes or `max_ticks` elapses.
   /// Returns the tick at which the last core finished (= overall
   /// execution time, the metric of Fig 8(a)). The clock itself ends on
-  /// the first uncore grid tick after that (the last drain).
+  /// the run's last uncore grid tick, at or after that one (see
+  /// sim/uncore_wakeup.h).
   ///
   /// Restartable: any events left over from a previous tick-capped run
   /// are cleared (across both queue tiers) before the cores are rebuilt,
